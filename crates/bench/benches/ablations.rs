@@ -552,9 +552,10 @@ fn bench_reactor(c: &mut Criterion) {
 
     // Gate 1 — determinism. The fully serialized reactor (one event
     // loop, one compute worker, middleware off) must answer a scripted
-    // two-session request sequence byte-for-byte like the 1-worker
-    // pool. Two worlds from the same seed hold identical keys, so the
-    // decrypted reply records must match exactly.
+    // two-session request sequence, mixing loop-served and offloaded
+    // requests, byte-for-byte like the 1-worker pool. Two worlds from
+    // the same seed hold identical keys, so the decrypted reply
+    // records must match exactly.
     let script = |reactor: bool| -> Vec<Vec<u8>> {
         let world = BenchWorld::new(0xac7);
         let packaged = world.package(&ProgramImage::interpreter("python-3.8", 8));
@@ -569,13 +570,19 @@ fn bench_reactor(c: &mut Criterion) {
             let conn = world.network.connect(addr).expect("connect");
             let mut rng = StdRng::seed_from_u64(0xc11e47 + session);
             let mut chan = SecureChannel::client_connect(conn, &mut rng).expect("handshake");
+            let grant = Message::GrantRequest {
+                common_sigstruct: packaged.signed.common_sigstruct.to_bytes(),
+                base_hash: packaged.signed.base_hash.encode().to_vec(),
+            };
+            // Requests the loop runs inline alternate with ones it
+            // hands to the compute pool.
             for request in [
-                Message::GrantRequest {
-                    common_sigstruct: packaged.signed.common_sigstruct.to_bytes(),
-                    base_hash: packaged.signed.base_hash.encode().to_vec(),
-                },
-                Message::ChallengeRequest,
-                Message::Ping,
+                &Message::ChallengeRequest,
+                &Message::Ping,
+                &grant,
+                &Message::ChallengeRequest,
+                &grant,
+                &Message::Ping,
             ] {
                 chan.send(&request.to_bytes()).expect("send");
                 replies.push(chan.recv().expect("recv"));

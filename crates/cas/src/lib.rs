@@ -21,8 +21,8 @@
 //!   limits, quotas, timeouts, panic isolation, circuit breaker) both
 //!   serving paths consult.
 //! * [`reactor`] — the readiness-driven serving path: a few event
-//!   loops multiplex every connection, offloading crypto to a compute
-//!   pool.
+//!   loops multiplex every connection and serve the cheap reads
+//!   themselves, offloading RSA and journal work to a compute pool.
 //! * [`replica`] — the replicated fleet: a primary streams its sealed
 //!   journal to followers, followers serve read-mostly traffic
 //!   locally and forward writes, and failover is fenced by a

@@ -11,16 +11,29 @@
 //!   connections through the bus's readiness API — an idle connection
 //!   costs one watch registration, not a thread;
 //! * each connection is a **state machine** (`Handshake → Idle ⇄
-//!   Busy`): handshake flights and message framing are driven
-//!   nonblockingly on the loop, while CPU-heavy request handling —
-//!   SigStruct verification, grant signing, reply sealing, journal
-//!   group-commit waits — is offloaded to a **compute pool** whose
-//!   completion re-enqueues the connection via the loop's inbox;
-//! * **at most one request per connection is in flight** at a time:
-//!   dispatch order is receive order, the per-connection RNG and
-//!   record sequence advance exactly as on the pooled path, so a
-//!   client sees bit-identical bytes from either path (gated by the
-//!   `ablation/reactor` bench);
+//!   Busy`) driven nonblockingly on its loop;
+//! * **where a request runs** is a function of its message type alone
+//!   (`CasServer::runs_on_loop`). Cheap requests — `Ping`,
+//!   `ChallengeRequest`, `StatusRequest` — run to completion on the
+//!   loop: dispatch, reply sealing and send happen right after
+//!   admission, and the loop goes on draining the connection. A
+//!   hand-off would cost more than the request: the job queue's wakeup
+//!   of a compute worker plus the completion's wakeup of the loop,
+//!   where the work itself is a nonce draw or a status render
+//!   ([`CasStats::requests_inline`] counts them). Requests that do RSA
+//!   work, wait on the journal's group commit or cross the forward
+//!   link — `GrantRequest`, `AttestRequest`, `BaselineAttestRequest`
+//!   — are offloaded to a **compute pool**, whose completion
+//!   re-enqueues the connection via the loop's inbox, so a
+//!   multi-millisecond signature or a commit wait never stalls the
+//!   loop's other connections. Both run the same `run_job`: dedup,
+//!   panic isolation, sealing, the `seal`/`request` histograms and the
+//!   trace finish are one code path;
+//! * **at most one request per connection is in flight** at a time,
+//!   wherever it runs: dispatch order is receive order, the
+//!   per-connection RNG and record sequence advance exactly as on the
+//!   pooled path, so a client sees bit-identical bytes from either
+//!   path (gated by the `ablation/reactor` bench);
 //! * the loop's **timer wheel** enforces the middleware chain's
 //!   handshake/idle deadlines (a slow-loris peer costs one table entry
 //!   until its deadline, never a thread), and loop 0 additionally
@@ -28,13 +41,16 @@
 //!   ([`CasServer::set_snapshot_interval`]) so idle workloads still
 //!   bound the journal-replay window.
 //!
-//! Admission control runs *on the loop*, before a request is allowed
-//! to occupy a compute slot: rate-limit and quota refusals are sealed
-//! and sent inline from the idle session (a refused request costs the
-//! refuser a table lookup, not a compute slot). Panic isolation wraps
-//! dispatch on the compute workers; the circuit breaker is consulted
-//! pre-dispatch and fed at the commit boundary exactly as on the
-//! pooled path.
+//! Admission control runs *on the loop*, before a request may run
+//! anywhere: rate-limit and quota refusals are sealed and sent inline
+//! from the idle session (a refused request costs the refuser a table
+//! lookup, not a compute slot). Panic isolation wraps dispatch on both
+//! the loop and the compute workers, so a poisoned ping is contained on
+//! the loop like a poisoned grant on a worker; the circuit breaker is
+//! consulted pre-dispatch and fed at the commit boundary exactly as on
+//! the pooled path.
+//!
+//! [`CasStats::requests_inline`]: crate::server::CasStats::requests_inline
 
 use crate::middleware::{MiddlewareChain, MiddlewareConfig};
 use crate::server::{CasServer, ServeGuard};
@@ -55,9 +71,11 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// An established session: everything request handling needs, checked
-/// out *whole* to a compute worker while a request is in flight (the
-/// `Busy` phase) and returned on completion. Keeping the RNG inside
-/// preserves the pooled path's per-connection RNG consumption order.
+/// out *whole* while a request is in flight (the `Busy` phase) — to a
+/// compute worker, or to the loop itself for a request it runs inline
+/// — and returned on completion. Keeping the RNG and the outstanding
+/// challenge nonce inside preserves the pooled path's per-connection
+/// state whichever thread serves the next request.
 struct Session {
     sender: ChannelSender,
     receiver: ChannelReceiver,
@@ -73,9 +91,10 @@ enum Phase {
     Handshake { machine: ServerHandshake, rng: StdRng },
     /// Established, no request in flight; the session is on the loop.
     Idle(Box<Session>),
-    /// One request is in flight on the compute pool (which holds the
-    /// session); further readiness events are deferred until the
-    /// completion re-enqueues the connection.
+    /// One request is in flight and holds the session. On the compute
+    /// pool, further readiness events are deferred until the
+    /// completion re-enqueues the connection; on the loop, the phase
+    /// lasts only while the loop runs the request.
     Busy,
 }
 
@@ -113,8 +132,8 @@ enum LoopMsg {
     Completed { token: u64, session: Option<Box<Session>> },
 }
 
-/// A unit of offloaded work: one decoded request plus the session it
-/// belongs to.
+/// A unit of work handed to the compute pool: one decoded request plus
+/// the session it belongs to.
 struct Job {
     loop_id: usize,
     token: u64,
@@ -140,8 +159,9 @@ const TOKEN_CONN0: u64 = 2;
 
 impl CasServer {
     /// Default event-loop count: 2 — one would serialize handshakes
-    /// behind timers, many would waste wakeups; the loops only shuffle
-    /// bytes and run admission, the compute pool does the real work.
+    /// behind timers, many would waste wakeups; the loops shuffle
+    /// bytes, run admission and serve the cheap requests, the compute
+    /// pool does the RSA and journal work.
     #[must_use]
     pub fn default_event_loops() -> usize {
         2
@@ -311,10 +331,11 @@ fn run_reactor(
     });
 }
 
-/// Runs one offloaded request on a compute worker: admission already
-/// passed on the loop; here the request is dispatched (under panic
-/// isolation when configured), the reply sealed and sent. Returns the
-/// session to re-enqueue, or `None` when the connection must close.
+/// Runs one admitted request — on a compute worker, or on the loop for
+/// a request `CasServer::runs_on_loop` keeps there: the request is
+/// dispatched (under panic isolation when configured), the reply
+/// sealed and sent. Returns the session to put back, or `None` when
+/// the connection must close.
 fn run_job(
     server: &CasServer,
     chain: &MiddlewareChain,
@@ -535,8 +556,8 @@ impl EventLoop<'_> {
     }
 
     /// Drives one connection's state machine as far as its queued
-    /// input allows: handshake flights inline, then at most one
-    /// decoded request offloaded to the compute pool.
+    /// input allows: handshake flights and cheap requests inline, up
+    /// to the first request handed to the compute pool.
     fn drain_conn(&mut self, token: u64) {
         loop {
             // The connection borrow must end before `close` below, so
@@ -626,11 +647,25 @@ impl EventLoop<'_> {
 enum Step {
     /// Progress was made; step again.
     Continue,
-    /// The connection's input is drained (or a request was offloaded);
-    /// stop stepping until the next readiness event or completion.
+    /// The connection's input is drained (or a request was handed to
+    /// the compute pool); stop stepping until the next readiness event
+    /// or completion.
     Drained,
     /// The connection must close.
     Close,
+}
+
+/// Checks an `Idle` connection's session out (the phase becomes
+/// `Busy`), for the loop itself or for a compute worker to run one
+/// request on. Any other phase is left as it was and yields `None`.
+fn check_out(phase: &mut Phase) -> Option<Box<Session>> {
+    match std::mem::replace(phase, Phase::Busy) {
+        Phase::Idle(session) => Some(session),
+        other => {
+            *phase = other;
+            None
+        }
+    }
 }
 
 fn conn_mut(conns: &mut [Option<ConnState>], token: u64) -> Option<&mut ConnState> {
@@ -640,8 +675,9 @@ fn conn_mut(conns: &mut [Option<ConnState>], token: u64) -> Option<&mut ConnStat
 
 /// One step of a connection's state machine (free function so the
 /// caller's borrow of the connection table stays disjoint from the
-/// loop's other fields): handshake flights run inline, an admitted
-/// request checks the session out to the compute pool, refusals and
+/// loop's other fields): handshake flights run inline; an admitted
+/// request checks the session out and runs on the loop or the compute
+/// pool as `CasServer::runs_on_loop` decides; refusals and
 /// malformed messages are answered inline from the idle session.
 fn step_conn(
     conns: &mut [Option<ConnState>],
@@ -664,9 +700,13 @@ fn step_conn(
             state.last_activity = Instant::now();
             // lint: allow(panic) — phase variant pinned by the enclosing match arm
             let Phase::Handshake { machine, rng } = &mut state.phase else { unreachable!() };
-            // Handshake flights stay on the loop: KEM decapsulation is
-            // micro-scale next to the RSA work the compute pool
-            // exists for.
+            // Handshake flights stay on the loop, and they are not
+            // cheap: KEM decapsulation is an RSA-1024 private-key
+            // operation, about 0.5 ms of a 1.2-2.4 ms client-timed
+            // handshake on a 2-vCPU Xeon VM, during which this loop
+            // serves no other connection. It is paid once per
+            // connection, and the handshake state lives in the phase
+            // the loop owns.
             match machine.on_message(&state.conn, &raw, &server.channel_key, rng) {
                 Ok(None) => Step::Continue,
                 Ok(Some(channel)) => {
@@ -715,26 +755,44 @@ fn step_conn(
                         trace::install(started);
                     }
                     match server.admission_refusal(chain, &message) {
-                        // Admitted: check the session out to the compute
-                        // pool and stop draining — at most one request in
-                        // flight per connection keeps dispatch order equal
-                        // to receive order.
+                        // Admitted: check the session out. At most one
+                        // request per connection is in flight, wherever
+                        // it runs, so dispatch order is receive order.
+                        // `last_activity` was stamped when this frame
+                        // was read: it is the request's receive instant
+                        // for the end-to-end sample.
                         None => {
-                            let Phase::Idle(session) =
-                                std::mem::replace(&mut state.phase, Phase::Busy)
-                            else {
-                                // lint: allow(panic) — phase variant pinned by the enclosing match arm
-                                unreachable!()
-                            };
-                            // `last_activity` was stamped when this raw
-                            // frame was read — it is the request's receive
-                            // instant for the end-to-end latency sample.
                             let received = state.last_activity;
                             let trace = trace::take();
-                            return if jobs
-                                .send(Job { loop_id, token, message, session, received, trace })
-                                .is_err()
-                            {
+                            let Some(session) = check_out(&mut state.phase) else {
+                                return Step::Close;
+                            };
+                            if CasServer::runs_on_loop(&message) {
+                                // Cheap request: run it to completion
+                                // here with the compute workers' own
+                                // `run_job`, return the session and keep
+                                // draining. Offloading it would cost two
+                                // more thread wake-ups than it saves.
+                                server.stats.requests_inline.fetch_add(1, Ordering::Relaxed);
+                                let Some(session) =
+                                    run_job(server, chain, message, received, session, trace)
+                                else {
+                                    return Step::Close;
+                                };
+                                // Draining: this request was the
+                                // connection's last, as at an offloaded
+                                // completion.
+                                if server.is_draining() {
+                                    return Step::Close;
+                                }
+                                state.phase = Phase::Idle(session);
+                                return Step::Continue;
+                            }
+                            // RSA, journal or forward-link work: hand the
+                            // session to the compute pool; its completion
+                            // resumes the drain.
+                            let job = Job { loop_id, token, message, session, received, trace };
+                            return if jobs.send(job).is_err() {
                                 Step::Close
                             } else {
                                 Step::Drained
@@ -816,7 +874,10 @@ mod tests {
 
     /// The determinism gate in unit form: a single-loop single-worker
     /// reactor with middleware off must answer the same request
-    /// sequence with the same bytes as the 1-worker pool.
+    /// sequence with the same bytes as the 1-worker pool — including
+    /// requests the loop runs inline alternating with ones it hands to
+    /// the compute pool on one session, so the session's RNG and
+    /// record sequence cross between the two threads.
     #[test]
     fn reactor_single_loop_matches_pool_bytes() {
         let run = |addr: &str, reactor: bool| {
@@ -832,22 +893,28 @@ mod tests {
             let conn = network.connect(addr).unwrap();
             let mut rng = StdRng::seed_from_u64(31);
             let mut chan = SecureChannel::client_connect(conn, &mut rng).unwrap();
+            let grant = Message::GrantRequest {
+                common_sigstruct: signed.common_sigstruct.to_bytes(),
+                base_hash: signed.base_hash.encode().to_vec(),
+            };
             let mut replies = Vec::new();
-            for _ in 0..3 {
-                chan.send(
-                    &Message::GrantRequest {
-                        common_sigstruct: signed.common_sigstruct.to_bytes(),
-                        base_hash: signed.base_hash.encode().to_vec(),
-                    }
-                    .to_bytes(),
-                )
-                .unwrap();
+            for request in [
+                &grant,
+                &grant,
+                &grant,
+                &Message::ChallengeRequest,
+                &Message::Ping,
+                // Inline and offloaded requests alternating.
+                &Message::ChallengeRequest,
+                &Message::Ping,
+                &grant,
+                &Message::ChallengeRequest,
+                &grant,
+                &Message::Ping,
+            ] {
+                chan.send(&request.to_bytes()).unwrap();
                 replies.push(chan.recv().unwrap());
             }
-            chan.send(&Message::ChallengeRequest.to_bytes()).unwrap();
-            replies.push(chan.recv().unwrap());
-            chan.send(&Message::Ping.to_bytes()).unwrap();
-            replies.push(chan.recv().unwrap());
             drop(chan);
             handle.join().unwrap();
             replies

@@ -26,14 +26,16 @@
 //! [`crate::reactor`]): a small, connection-count-independent number
 //! of event-loop threads multiplex *all* connections through the
 //! bus's readiness API (`net::Poller`), driving handshakes and message
-//! framing as per-connection state machines and offloading CPU-heavy
-//! work (SigStruct verification, grant signing, reply sealing, journal
-//! group-commit waits) to a compute pool whose completions re-enqueue
-//! the connection. A thousand mostly-idle attesters cost a thousand
-//! parked connections, not a thousand threads. Per connection at most
-//! one request is in flight at a time — dispatch order is receive
-//! order — so the bytes a client observes are identical on both paths
-//! (the `ablation/reactor` bench gates this bit-for-bit).
+//! framing as per-connection state machines. Pings, challenges and
+//! status probes run to completion on the loop; grants and
+//! attestations (SigStruct verification, grant signing, journal
+//! group-commit waits, forwarding) go to a compute pool whose
+//! completions re-enqueue the connection. A thousand mostly-idle
+//! attesters cost a thousand parked connections, not a thousand
+//! threads. Per connection at most one request is in flight at a
+//! time — dispatch order is receive order — so the bytes a client
+//! observes are identical on both paths (the `ablation/reactor` bench
+//! gates this bit-for-bit).
 //!
 //! Both paths consult the same **admission-control middleware chain**
 //! ([`crate::middleware`], [`CasServer::set_middleware`]), evaluated
@@ -272,6 +274,11 @@ cas_counters! {
     /// Journaling requests shed by the open circuit breaker (storage
     /// is refusing appends; the refusal never touched the volume).
     requests_shed,
+    /// Admitted requests the reactor ran to completion on its event
+    /// loop instead of handing them to the compute pool (pings,
+    /// challenges, status probes; see `CasServer::runs_on_loop`).
+    /// The pooled path never moves it.
+    requests_inline,
     /// Dispatch panics contained by panic isolation: the connection
     /// was closed, the serving thread survived.
     panics_isolated,
@@ -1428,6 +1435,24 @@ impl CasServer {
     /// attestations journal the redemption.
     fn needs_journal_append(message: &Message) -> bool {
         matches!(message, Message::GrantRequest { .. } | Message::AttestRequest { .. })
+    }
+
+    /// Whether the reactor runs an admitted `message` to completion on
+    /// its event loop rather than on the compute pool. Only the
+    /// requests that verify or sign with RSA, wait on the journal's
+    /// group commit or cross the forward link are worth a hand-off —
+    /// grants and the two attestations. Everything else (ping,
+    /// challenge, status, and the refusal of an unexpected message)
+    /// costs less than the two thread wake-ups a hand-off adds; status
+    /// rendering touches only atomics and short-held locks, never the
+    /// journal or the issuer (see [`crate::status`]).
+    pub(crate) fn runs_on_loop(message: &Message) -> bool {
+        !matches!(
+            message,
+            Message::GrantRequest { .. }
+                | Message::AttestRequest { .. }
+                | Message::BaselineAttestRequest { .. }
+        )
     }
 
     /// Runs the per-request admission layers in fixed order (rate

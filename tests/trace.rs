@@ -161,6 +161,40 @@ fn traced_grant_on_reactor_path_records_queue_span() {
 }
 
 #[test]
+fn traced_inline_ping_on_reactor_keeps_its_stage_spans() {
+    // A ping runs to completion on the event loop, yet its trace still
+    // prices the loop's queue wait, admission and reply sealing — each
+    // ping one trace, every span under that trace's id.
+    let w = world(0x7a28);
+    light(&w.cas);
+    let serving = w.cas.serve_reactor_with(&w.network, CAS_ADDR, 1, 0x7a29, 1, 1);
+    let conn = w.network.connect(CAS_ADDR).expect("connect");
+    let mut rng = StdRng::seed_from_u64(0x7a2a);
+    let mut chan = SecureChannel::client_connect(conn, &mut rng).expect("handshake");
+    for _ in 0..2 {
+        chan.send(&Message::Ping.to_bytes()).expect("send");
+        let reply = Message::from_bytes(&chan.recv().expect("recv")).expect("decode");
+        assert_eq!(reply, Message::Pong);
+    }
+    drop(chan);
+    serving.join().expect("serve");
+    assert_eq!(w.cas.stats.snapshot().requests_inline, 2);
+
+    let traces = all_recent(&w.cas);
+    assert_eq!(traces.len(), 2, "one trace per ping: {traces:?}");
+    assert_ne!(traces[0].trace_id, traces[1].trace_id, "two pings shared a trace id");
+    for trace in &traces {
+        for stage in ["request", "queue", "admission", "seal"] {
+            assert!(
+                trace.spans().iter().any(|s| s.stage == stage && s.outcome == SpanOutcome::Ok),
+                "missing ok `{stage}` span on a loop-served ping: {:?}",
+                trace.spans()
+            );
+        }
+    }
+}
+
+#[test]
 fn follower_forwarded_write_produces_one_causal_trace() {
     // The tentpole acceptance test: a client's grant lands at a
     // follower, forwards to the primary, commits there, and the
